@@ -31,6 +31,8 @@
 #include "bbs/dataflow/srdf_graph.hpp"
 #include "bbs/gen/generators.hpp"
 #include "bbs/io/api_io.hpp"
+#include "bbs/linalg/ordering.hpp"
+#include "bbs/linalg/sparse_matrix.hpp"
 #include "bbs/service/dispatcher.hpp"
 #include "bbs/service/endpoint.hpp"
 #include "bbs/service/socket_server.hpp"
@@ -545,6 +547,38 @@ BENCHMARK(BM_KktFactorise)
     ->Range(16, 64)
     ->Unit(benchmark::kMicrosecond)
     ->Complexity();
+
+/// Cold-path symbolic cost: the minimum-degree ordering of a fresh
+/// structure's normal-equation pattern, built as KktSystem::factorise
+/// builds it (W^{-2} block pattern, S·G, G'·(S·G) with forced diagonal).
+void BM_MinDegreeOrdering(benchmark::State& state) {
+  bbs::gen::GenParams params;
+  params.num_processors = 6;
+  const bbs::model::Configuration config = bbs::gen::make_random_dag(
+      static_cast<bbs::linalg::Index>(state.range(0)), 0.45, params);
+  const bbs::core::BuiltProgram prog = bbs::core::build_algorithm1(config);
+  const bbs::solver::ConeSpec& cone = prog.problem.cone();
+  bbs::solver::NtScaling scaling(cone);
+  bbs::linalg::Vector e(static_cast<std::size_t>(cone.dim()));
+  cone.identity(e);
+  scaling.update(e, e);
+  bbs::linalg::SparseMatrix s;
+  scaling.inverse_squared_into(s);
+  const bbs::linalg::CachedSpGemm sg(s, prog.problem.g());
+  const bbs::linalg::CachedSpGemm normal(prog.problem.g().transpose(),
+                                         sg.result(),
+                                         /*include_diagonal=*/true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bbs::linalg::compute_ordering(
+        normal.result(), bbs::linalg::OrderingMethod::kMinimumDegree));
+  }
+  state.counters["dim"] = static_cast<double>(normal.result().cols());
+}
+BENCHMARK(BM_MinDegreeOrdering)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(96)
+    ->Unit(benchmark::kMicrosecond);
 
 /// Strongly connected ring-with-chords SRDF instance for the MCR kernels.
 bbs::dataflow::SrdfGraph ring_with_chords(bbs::linalg::Index n,

@@ -1,7 +1,7 @@
 #include "bbs/linalg/ordering.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <cstdint>
 #include <queue>
 
 #include "bbs/common/assert.hpp"
@@ -30,29 +30,27 @@ std::vector<std::vector<Index>> build_adjacency(const SparseMatrix& a) {
   return adj;
 }
 
-/// BFS levelisation from `start`; returns (last node visited, #levels).
-/// Used to locate a pseudo-peripheral node for RCM.
-std::pair<Index, int> bfs_depth(const std::vector<std::vector<Index>>& adj,
-                                Index start, std::vector<int>& level) {
-  std::fill(level.begin(), level.end(), -1);
+/// Breadth-first sweep from `start`; returns the last node visited, which
+/// lies on the deepest BFS level. Used to locate a pseudo-peripheral node
+/// for RCM.
+Index bfs_last(const std::vector<std::vector<Index>>& adj, Index start,
+               std::vector<bool>& seen) {
+  std::fill(seen.begin(), seen.end(), false);
   std::queue<Index> q;
   q.push(start);
-  level[static_cast<std::size_t>(start)] = 0;
+  seen[static_cast<std::size_t>(start)] = true;
   Index last = start;
-  int depth = 0;
   while (!q.empty()) {
-    const Index u = q.front();
+    last = q.front();
     q.pop();
-    last = u;
-    depth = level[static_cast<std::size_t>(u)];
-    for (Index v : adj[static_cast<std::size_t>(u)]) {
-      if (level[static_cast<std::size_t>(v)] < 0) {
-        level[static_cast<std::size_t>(v)] = depth + 1;
+    for (Index v : adj[static_cast<std::size_t>(last)]) {
+      if (!seen[static_cast<std::size_t>(v)]) {
+        seen[static_cast<std::size_t>(v)] = true;
         q.push(v);
       }
     }
   }
-  return {last, depth};
+  return last;
 }
 
 std::vector<Index> rcm_ordering(const std::vector<std::vector<Index>>& adj) {
@@ -60,18 +58,13 @@ std::vector<Index> rcm_ordering(const std::vector<std::vector<Index>>& adj) {
   std::vector<Index> order;
   order.reserve(n);
   std::vector<bool> visited(n, false);
-  std::vector<int> level(n, -1);
+  std::vector<bool> seen(n);
 
   for (std::size_t root_scan = 0; root_scan < n; ++root_scan) {
     if (visited[root_scan]) continue;
-    // Pseudo-peripheral start: two BFS sweeps from the component seed.
-    Index start = static_cast<Index>(root_scan);
-    auto [far1, d1] = bfs_depth(adj, start, level);
-    auto [far2, d2] = bfs_depth(adj, far1, level);
-    (void)d1;
-    (void)d2;
-    start = far1;
-    (void)far2;
+    // Pseudo-peripheral start: the last node reached by one BFS sweep from
+    // the component seed.
+    const Index start = bfs_last(adj, static_cast<Index>(root_scan), seen);
 
     // Cuthill–McKee BFS, neighbours in increasing-degree order.
     std::queue<Index> q;
@@ -100,50 +93,121 @@ std::vector<Index> rcm_ordering(const std::vector<std::vector<Index>>& adj) {
   return order;
 }
 
+/// Indexed binary min-heap holding exactly one entry per live node. An
+/// entry is the node's key (degree << 32 | index), so integer order is the
+/// (degree, index) selection order, and a degree change re-sifts the node's
+/// entry in O(log n).
+class DegreeHeap {
+ public:
+  explicit DegreeHeap(const std::vector<std::vector<Index>>& adj)
+      : heap_(adj.size()), slot_(adj.size()) {
+    for (std::size_t i = 0; i < adj.size(); ++i) {
+      heap_[i] = key(static_cast<Index>(i), adj[i].size());
+      slot_[i] = i;
+    }
+    for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i, heap_[i]);
+  }
+
+  bool empty() const { return heap_.empty(); }
+
+  /// Removes and returns the node with the smallest (degree, index).
+  Index pop() {
+    const Index top = node(heap_.front());
+    const std::uint64_t last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+    return top;
+  }
+
+  /// Re-keys live node `v` to `degree`.
+  void update(Index v, std::size_t degree) {
+    const std::size_t slot = slot_[static_cast<std::size_t>(v)];
+    const std::uint64_t k = key(v, degree);
+    if (k < heap_[slot]) {
+      sift_up(slot, k);
+    } else {
+      sift_down(slot, k);
+    }
+  }
+
+ private:
+  static std::uint64_t key(Index v, std::size_t degree) {
+    return (static_cast<std::uint64_t>(degree) << 32) |
+           static_cast<std::uint32_t>(v);
+  }
+  static Index node(std::uint64_t k) {
+    return static_cast<Index>(k & 0xffffffffu);
+  }
+
+  void place(std::size_t slot, std::uint64_t k) {
+    heap_[slot] = k;
+    slot_[static_cast<std::size_t>(node(k))] = slot;
+  }
+
+  void sift_up(std::size_t slot, std::uint64_t k) {
+    while (slot > 0) {
+      const std::size_t parent = (slot - 1) / 2;
+      if (heap_[parent] < k) break;
+      place(slot, heap_[parent]);
+      slot = parent;
+    }
+    place(slot, k);
+  }
+
+  void sift_down(std::size_t slot, std::uint64_t k) {
+    const std::size_t n = heap_.size();
+    for (;;) {
+      std::size_t child = 2 * slot + 1;
+      if (child >= n) break;
+      if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
+      if (k < heap_[child]) break;
+      place(slot, heap_[child]);
+      slot = child;
+    }
+    place(slot, k);
+  }
+
+  std::vector<std::uint64_t> heap_;
+  std::vector<std::size_t> slot_;  // slot_[node] = position in heap_
+};
+
+/// Exact minimum degree on the explicit elimination graph. `adj` holds only
+/// live nodes at every step: eliminating u turns its neighbourhood into a
+/// clique, N(v) := (N(v) ∪ N(u)) \ {u, v} for each v in N(u), and no other
+/// list ever mentions u. Lists stay unsorted; membership during a merge is a
+/// stamp in `mark`, so a merge costs O(|N(v)| + |N(u)|) with no sort.
 std::vector<Index> min_degree_ordering(std::vector<std::vector<Index>> adj) {
   const std::size_t n = adj.size();
   std::vector<Index> order;
   order.reserve(n);
-  std::vector<bool> eliminated(n, false);
-  // (degree, node) priority queue with lazy invalidation.
-  using Entry = std::pair<std::size_t, Index>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-  for (std::size_t i = 0; i < n; ++i)
-    pq.emplace(adj[i].size(), static_cast<Index>(i));
+  DegreeHeap heap(adj);
+  std::vector<std::size_t> mark(n, 0);
+  std::size_t stamp = 0;
 
-  std::vector<Index> merged;
-  while (!pq.empty()) {
-    const auto [deg, u] = pq.top();
-    pq.pop();
-    const auto ui = static_cast<std::size_t>(u);
-    if (eliminated[ui] || adj[ui].size() != deg) continue;  // stale entry
-    eliminated[ui] = true;
+  while (!heap.empty()) {
+    const Index u = heap.pop();
     order.push_back(u);
-
-    // Eliminate u: connect all remaining neighbours into a clique.
-    std::vector<Index> live;
-    for (Index v : adj[ui]) {
-      if (!eliminated[static_cast<std::size_t>(v)]) live.push_back(v);
-    }
-    for (Index v : live) {
-      auto& nv = adj[static_cast<std::size_t>(v)];
-      // nv := (nv ∪ live) \ {u, v}, keeping only non-eliminated nodes.
-      merged.clear();
-      merged.reserve(nv.size() + live.size());
-      for (Index w : nv) {
-        if (w != u && !eliminated[static_cast<std::size_t>(w)])
-          merged.push_back(w);
+    const std::vector<Index>& nu = adj[static_cast<std::size_t>(u)];
+    for (const Index v : nu) {
+      std::vector<Index>& nv = adj[static_cast<std::size_t>(v)];
+      ++stamp;
+      mark[static_cast<std::size_t>(v)] = stamp;
+      // Drop u (present exactly once) and stamp the rest of N(v).
+      for (std::size_t k = 0; k < nv.size();) {
+        if (nv[k] == u) {
+          nv[k] = nv.back();
+          nv.pop_back();
+        } else {
+          mark[static_cast<std::size_t>(nv[k])] = stamp;
+          ++k;
+        }
       }
-      for (Index w : live) {
-        if (w != v) merged.push_back(w);
+      for (const Index w : nu) {
+        if (mark[static_cast<std::size_t>(w)] != stamp) nv.push_back(w);
       }
-      std::sort(merged.begin(), merged.end());
-      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-      nv = merged;
-      pq.emplace(nv.size(), v);
+      heap.update(v, nv.size());
     }
-    adj[ui].clear();
-    adj[ui].shrink_to_fit();
+    std::vector<Index>().swap(adj[static_cast<std::size_t>(u)]);
   }
   return order;
 }
