@@ -260,7 +260,7 @@ void session_payload_from_json(const io::JsonValue& payload,
   *config = io::configuration_from_json_value(object.at("configuration"));
 
   // Mirrors the base options run_checked() bakes into every session:
-  // verification off, per-execution wildcards cleared.
+  // verification off.
   core::SessionOptions base;
   base.mapping.verify = false;
   solver::SolverOptions& ipm = base.mapping.ipm;
@@ -285,12 +285,6 @@ void session_payload_from_json(const io::JsonValue& payload,
       static_cast<int>(ipm_json.at("recovery_attempts").as_number());
   ipm.recovery_regularisation_growth =
       ipm_json.at("recovery_regularisation_growth").as_number();
-  ipm.time_limit_ms = 0.0;
-  ipm.deadline = solver::CancelToken::Clock::time_point::max();
-  ipm.cancel = nullptr;
-  ipm.fail_at_iteration = -1;
-  ipm.fail_only_first_attempt = false;
-  ipm.trace_sink = nullptr;
 
   base.mapping.rounding_eps = object.at("rounding_eps").as_number();
   if (object.contains("fixed_budgets")) {
@@ -415,34 +409,22 @@ void Engine::trim_pool() {
 }
 
 Response Engine::run(const Request& request) {
-  Deadline deadline = Deadline::max();
+  solver::SolveControl control;
   if (request.options.deadline_ms > 0.0) {
-    deadline = solver::CancelToken::Clock::now() +
-               std::chrono::duration_cast<solver::CancelToken::Clock::duration>(
-                   std::chrono::duration<double, std::milli>(
-                       request.options.deadline_ms));
+    control.deadline =
+        solver::CancelToken::Clock::now() +
+        std::chrono::duration_cast<solver::CancelToken::Clock::duration>(
+            std::chrono::duration<double, std::milli>(
+                request.options.deadline_ms));
   }
-  return run(request, deadline, nullptr);
+  return run(request, std::move(control));
 }
 
-Response Engine::run(const Request& request, Deadline deadline,
-                     std::shared_ptr<solver::CancelToken> cancel) {
+Response Engine::run(const Request& request, solver::SolveControl control) {
   const auto start = std::chrono::steady_clock::now();
   last_session_ = nullptr;
-
-  // Per-execution interruption control, installed on every session this
-  // request acquires. The caller's deadline (which may predate this call by
-  // the request's queue wait) wins over options.deadline_ms-derived ones;
-  // per-solve limits and failpoints ride along from the request options.
-  control_ = core::SolveControl{};
-  control_.time_limit_ms = request.options.ipm.time_limit_ms;
-  control_.deadline = deadline;
-  control_.cancel =
-      cancel != nullptr ? std::move(cancel) : request.options.ipm.cancel;
-  control_.fail_at_iteration = request.options.ipm.fail_at_iteration;
-  control_.fail_only_first_attempt =
-      request.options.ipm.fail_only_first_attempt;
-  control_.trace_sink = request.options.ipm.trace_sink;
+  // Installed on every session this request acquires (acquire_controlled).
+  control_ = std::move(control);
 
   Response response;
   const auto fail = [&](ErrorCode code, const char* what) {
@@ -575,16 +557,6 @@ Response Engine::run_checked(const Request& request) {
   base.mapping.ipm = opts.ipm;
   base.mapping.rounding_eps = opts.rounding_eps;
   base.mapping.verify = false;
-  // Per-execution state never bakes into a session: deadlines, tokens and
-  // failpoints are wildcards of the pool key (requests differing only in
-  // them share sessions) and are (re)installed on every acquire via
-  // SolveControl instead.
-  base.mapping.ipm.time_limit_ms = 0.0;
-  base.mapping.ipm.deadline = solver::CancelToken::Clock::time_point::max();
-  base.mapping.ipm.cancel = nullptr;
-  base.mapping.ipm.fail_at_iteration = -1;
-  base.mapping.ipm.fail_only_first_attempt = false;
-  base.mapping.ipm.trace_sink = nullptr;
 
   Response response;
   Diagnostics& diag = response.diagnostics;

@@ -91,24 +91,21 @@ class Engine {
   Engine(Engine&&) noexcept;
   Engine& operator=(Engine&&) noexcept;
 
-  /// Absolute steady-clock deadline of one request execution.
-  using Deadline = solver::CancelToken::Clock::time_point;
-
   /// Executes one request. Model/usage/numerical errors never escape: they
   /// come back as a Response with status kError and the cause in `error` /
   /// `error_code`. A request with options.deadline_ms > 0 gets an absolute
   /// deadline of now + deadline_ms.
   Response run(const Request& request);
 
-  /// Executes one request against a caller-supplied absolute deadline
-  /// (lets a service account for time already spent queueing) and an
-  /// optional shared cancellation token (e.g. flipped when the client
-  /// disconnects). Deadline::max() disables the deadline. Expiry terminates
+  /// Executes one request under a caller-supplied execution control: an
+  /// absolute deadline (lets a service account for time already spent
+  /// queueing; options.deadline_ms is not consulted), an optional shared
+  /// cancellation token (e.g. flipped when the client disconnects), and
+  /// the failpoint and trace sink of this execution. Expiry terminates
   /// within one IPM iteration and comes back as a structured
   /// `deadline_exceeded` (resp. `cancelled`) error response; the pooled
   /// session that served the request stays warm and reusable.
-  Response run(const Request& request, Deadline deadline,
-               std::shared_ptr<solver::CancelToken> cancel);
+  Response run(const Request& request, solver::SolveControl control);
 
   /// Executes the requests in order through the session pool. Equivalent to
   /// calling run() per element; one vector entry per request, same order.
@@ -139,7 +136,7 @@ class Engine {
                          const model::Configuration& session_config,
                          core::SessionOptions session_options);
   /// acquire() plus installation of the current request's SolveControl on
-  /// the session (deadline / cancel token / injected fault).
+  /// the session (deadline / cancel token / injected fault / trace sink).
   PooledSession& acquire_controlled(const std::string& key,
                                     const model::Configuration& session_config,
                                     core::SessionOptions session_options);
@@ -158,10 +155,10 @@ class Engine {
   /// cleared when the pool is). Used for the post-request cache save.
   PooledSession* last_session_ = nullptr;
   EngineStats stats_;
-  /// Interruption control of the request currently executing; installed on
-  /// every session acquire() so pooled sessions never carry one request's
-  /// deadline or token into the next.
-  core::SolveControl control_;
+  /// Execution control of the request currently executing; installed on
+  /// every session acquire_controlled() so pooled sessions never carry one
+  /// request's deadline or token into the next.
+  solver::SolveControl control_;
 };
 
 /// The pool key the engine would file `request` under: a serialisation of

@@ -15,9 +15,9 @@
 //      the Ruiz scaling buffers and all iterate vectors survive across
 //      solves (KktSystem::stats().symbolic_factorisations == 1 for the
 //      whole session);
-//   3. each solve is warm-started from the previous optimal point, pushed
-//      back into the cone interior (falls back to a cold start after an
-//      infeasible solve).
+//   3. each solve is warm-started from the last optimal point the
+//      workspace reached, pushed back into the cone interior (cold only
+//      until the first optimum).
 //
 // The session owns a private copy of the configuration: parameter setters
 // mutate the copy and the program in lockstep, and the caller's
@@ -36,55 +36,6 @@ struct SessionOptions {
   /// (two-phase buffer-first) to make the per-solve program an LP /
   /// reduced SOCP.
   BuildOptions build;
-  /// Two-sided warm seeding for bisection-style drivers: keep the final
-  /// iterate of the last *infeasible* solve next to the last feasible
-  /// optimum, and seed each solve from whichever snapshot has the lower
-  /// residual merit on the current problem data. The feasible optimum wins
-  /// unless the infeasible-side iterate is strictly closer to the embedding
-  /// slice the solver restarts in, so this never degrades the one-sided
-  /// behaviour. Requires mapping.ipm.warm_start.
-  bool two_sided_warm_seeds = true;
-};
-
-/// Per-request interruption control for a (possibly pooled) session: a
-/// wall-clock budget, a shared cancellation token, and the chaos tests'
-/// injected-failure hook. Installed with SolverSession::set_solve_control
-/// before the request's solves and cleared afterwards, so sessions pooled
-/// across requests never leak one request's deadline into the next.
-struct SolveControl {
-  double time_limit_ms = 0.0;  ///< per-solve budget; 0 = unlimited
-  /// Absolute deadline shared by every solve of the request (sweeps and
-  /// bisections spend one budget across all probes); max() = none.
-  solver::CancelToken::Clock::time_point deadline =
-      solver::CancelToken::Clock::time_point::max();
-  std::shared_ptr<solver::CancelToken> cancel;
-  int fail_at_iteration = -1;  ///< fault injection; -1 = off
-  /// Scope the injected failure to the first solve attempt only, so the
-  /// recovery ladder can be observed recovering (ipm.fail_once); false
-  /// keeps the classic re-firing fault (ipm.fail_at) that exhausts it.
-  bool fail_only_first_attempt = false;
-  /// Per-execution trace sink for IPM iteration/ladder events (request
-  /// tracing); not owned, must outlive the request. nullptr = no events.
-  solver::IpmTraceSink* trace_sink = nullptr;
-};
-
-/// Which snapshot seeded a solve (see SolverSession::seed_stats()).
-enum class SeedSide { kCold, kFeasible, kInfeasible };
-
-/// Cumulative seed bookkeeping of one session: how often each side supplied
-/// the warm start, and the interior-point iterations spent downstream of
-/// each seed kind — the per-probe iteration deltas that the bisection
-/// drivers' warm-start experiments compare.
-struct SeedStats {
-  int seeded_feasible = 0;    ///< solves seeded from the last feasible optimum
-  int seeded_infeasible = 0;  ///< solves seeded from the last infeasible iterate
-  int cold = 0;               ///< solves with no usable seed
-  long iterations_seeded_feasible = 0;
-  long iterations_seeded_infeasible = 0;
-  long iterations_cold = 0;
-  int last_iterations = 0;  ///< iterations of the most recent solve
-  int last_feasible_updates = 0;    ///< feasible-side snapshot refreshes
-  int last_infeasible_updates = 0;  ///< infeasible-side snapshot refreshes
 };
 
 class SolverSession {
@@ -117,14 +68,16 @@ class SolverSession {
   /// with BuildOptions::fixed_deltas only).
   void set_fixed_deltas(Index graph, const Vector& deltas);
 
-  /// Installs per-request interruption control (deadline, cancel token,
-  /// injected failure) for subsequent solve() calls. An interrupted solve
-  /// reports kTimedOut/kCancelled through the MappingResult and refreshes
-  /// no warm snapshot — the program, workspace and symbolic factorisation
-  /// stay valid, so the session remains fully reusable afterwards.
-  void set_solve_control(const SolveControl& control);
-  /// Restores the session's base solver options (no deadline, no token).
-  void clear_solve_control();
+  /// Installs the execution control (deadline, cancel token, injected
+  /// failure, trace sink) for subsequent solve() calls; a default control
+  /// clears it. Pooled sessions get the current request's control on every
+  /// acquire, so one request's deadline never leaks into the next. An
+  /// interrupted solve reports kTimedOut/kCancelled through the
+  /// MappingResult and stores no warm start — the program, workspace and
+  /// symbolic factorisation stay valid, so the session remains reusable.
+  void set_solve_control(solver::SolveControl control) {
+    control_ = std::move(control);
+  }
 
   /// Solves the current program through the persistent workspace and runs
   /// the usual rounding + verification tail. Equivalent (up to solver
@@ -156,36 +109,13 @@ class SolverSession {
   std::optional<solver::SymbolicAnalysis> export_symbolic() const {
     return workspace_.export_symbolic();
   }
-  /// Two-sided seed counters (zeroed at construction).
-  const SeedStats& seed_stats() const { return seed_stats_; }
-  /// True once a feasible / infeasible solve has stocked the matching
-  /// snapshot.
-  bool has_feasible_seed() const { return last_feasible_.valid; }
-  bool has_infeasible_seed() const { return last_infeasible_.valid; }
 
  private:
-  struct Snapshot {
-    bool valid = false;
-    Vector x, s, z;
-  };
-
-  /// Residual merit of a snapshot on the *current* problem data: how far
-  /// the point is from the tau = 1 embedding slice the solver restarts in.
-  double seed_merit(const Snapshot& snap) const;
-  /// Picks and installs the seed for the next solve; returns the side used.
-  SeedSide select_seed();
-
   SessionOptions options_;
   model::Configuration config_;
   BuiltProgram program_;
-  solver::IpmSolver ipm_;
   solver::IpmWorkspace workspace_;
-  Snapshot last_feasible_;
-  Snapshot last_infeasible_;
-  /// Whether the workspace's warm slot currently holds last_feasible_ (the
-  /// auto-stored optimum) as opposed to an installed infeasible-side seed.
-  bool warm_slot_is_feasible_ = true;
-  SeedStats seed_stats_;
+  solver::SolveControl control_;
 };
 
 }  // namespace bbs::core

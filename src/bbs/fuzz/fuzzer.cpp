@@ -477,10 +477,15 @@ CaseResult run_request_checks(api::Engine& engine, const CaseSpec& spec,
                               const FuzzOptions& options) {
   CaseResult r;
   r.spec = spec;
+  solver::SolveControl control;
+  if (options.inject_fail_first) {
+    control.fail_at_iteration = 0;
+    control.fail_only_first_attempt = true;
+  }
 
   api::Response resp;
   try {
-    resp = engine.run(request);
+    resp = engine.run(request, control);
   } catch (const std::exception& e) {
     add_failure(r, std::string("engine.run threw (it must return error "
                                "responses instead): ") +
@@ -558,7 +563,7 @@ CaseResult run_request_checks(api::Engine& engine, const CaseSpec& spec,
           solve_req.id = request.id + "-xcheck";
           solve_req.options = request.options;
           solve_req.payload = api::SolveRequest{config};
-          const api::Response solved = engine.run(solve_req);
+          const api::Response solved = engine.run(solve_req, control);
           const bool solve_feasible =
               solved.status == api::ResponseStatus::kOk;
           if (at_cap->feasible != solve_feasible) {
@@ -683,12 +688,7 @@ CaseResult run_request_checks(api::Engine& engine, const CaseSpec& spec,
 
 CaseResult run_case(api::Engine& engine, const CaseSpec& spec,
                     const FuzzOptions& options) {
-  api::Request request = build_request(spec);
-  if (options.inject_fail_first) {
-    request.options.ipm.fail_at_iteration = 0;
-    request.options.ipm.fail_only_first_attempt = true;
-  }
-  return run_request_checks(engine, spec, request, options);
+  return run_request_checks(engine, spec, build_request(spec), options);
 }
 
 CaseSpec shrink_case(api::Engine& engine, const CaseSpec& failing,

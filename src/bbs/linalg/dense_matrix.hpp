@@ -1,6 +1,6 @@
-// Dense linear algebra used by the simplex solver, by small per-cone blocks of
-// the interior-point method, and as a reference implementation against which
-// the sparse kernels are validated.
+// Dense linear algebra: the BLAS-1 vector operations of the interior-point
+// method, and the small dense matrices of the NT scaling and of the test
+// oracles (dense LDL^T, simplex) the sparse kernels are validated against.
 //
 // Vectors are plain std::vector<double>; free functions provide the BLAS-1
 // operations the solvers need. DenseMatrix is a row-major value type.

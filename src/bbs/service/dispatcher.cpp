@@ -19,11 +19,11 @@ namespace {
 struct Task {
   api::Request request;
   Dispatcher::Completion done;
-  /// Absolute deadline stamped at enqueue (max() = none): the request's
-  /// budget starts ticking when it joins the queue, not when a worker
-  /// finally picks it up.
-  api::Engine::Deadline deadline = api::Engine::Deadline::max();
-  std::shared_ptr<solver::CancelToken> cancel;
+  /// Execution control handed to the engine. Its deadline is stamped at
+  /// enqueue (max() = none): the request's budget starts ticking when it
+  /// joins the queue, not when a worker finally picks it up. The worker
+  /// adds failpoints and the trace sink before the run.
+  solver::SolveControl control;
   /// Enqueue timestamp: queue_ms — histogram and response diagnostic alike —
   /// is measured from here to engine start on one clock.
   solver::CancelToken::Clock::time_point enqueued =
@@ -151,13 +151,13 @@ void Dispatcher::worker_loop(Worker& worker) {
         std::this_thread::sleep_for(std::chrono::milliseconds(delay));
       }
       if (const int fail_at = faults.ipm_fail_at(); fail_at >= 0) {
-        task.request.options.ipm.fail_at_iteration = fail_at;
+        task.control.fail_at_iteration = fail_at;
       }
       if (const int fail_once = faults.ipm_fail_once(); fail_once >= 0) {
         // Scoped to the first attempt only: the recovery ladder rescues the
         // solve, observable through the recovered_solves stats.
-        task.request.options.ipm.fail_at_iteration = fail_once;
-        task.request.options.ipm.fail_only_first_attempt = true;
+        task.control.fail_at_iteration = fail_once;
+        task.control.fail_only_first_attempt = true;
       }
     }
 
@@ -166,11 +166,10 @@ void Dispatcher::worker_loop(Worker& worker) {
     // scarce resource is solver time, and burning it on answers nobody
     // can use anymore only deepens the backlog.
     const bool was_cancelled =
-        task.cancel != nullptr &&
-        task.cancel->cancelled();
+        task.control.cancel != nullptr && task.control.cancel->cancelled();
     const bool queue_expired =
-        !was_cancelled && task.deadline != api::Engine::Deadline::max() &&
-        solver::CancelToken::Clock::now() >= task.deadline;
+        !was_cancelled &&
+        solver::CancelToken::Clock::now() >= task.control.deadline;
     // Queue wait ends here, whether the task runs or is shed (the injected
     // worker delay above deliberately counts as queue wait).
     const double queue_ms =
@@ -219,12 +218,10 @@ void Dispatcher::worker_loop(Worker& worker) {
     }
 
     if (task.trace != nullptr && task.request.options.trace_ipm) {
-      // Per-execution sink, cleared again by the engine before the options
-      // participate in any pool key (same discipline as deadline/cancel).
-      task.request.options.ipm.trace_sink = task.trace.get();
+      task.control.trace_sink = task.trace.get();
     }
     api::Response response =
-        worker.engine.run(task.request, task.deadline, task.cancel);
+        worker.engine.run(task.request, std::move(task.control));
     response.diagnostics.queue_ms = queue_ms;
     if (task.trace != nullptr) {
       task.trace->add_span(
@@ -309,13 +306,13 @@ bool Dispatcher::submit(api::Request request, Completion done,
                         std::shared_ptr<telemetry::Trace> trace) {
   Task task;
   if (request.options.deadline_ms > 0.0) {
-    task.deadline =
+    task.control.deadline =
         solver::CancelToken::Clock::now() +
         std::chrono::duration_cast<solver::CancelToken::Clock::duration>(
             std::chrono::duration<double, std::milli>(
                 request.options.deadline_ms));
   }
-  task.cancel = std::move(cancel);
+  task.control.cancel = std::move(cancel);
   const std::string key = api::request_structure_key(request);
   Worker& worker = *workers_[std::hash<std::string>{}(key) % workers_.size()];
   task.key_hash = common::fnv1a_64(key);

@@ -373,6 +373,16 @@ std::string metrics_exposition(const ServiceStats& stats,
           static_cast<double>(stats.timed_out_mid_solve));
   counter(out, "bbs_cancelled_total", "Tasks abandoned by cancellation.",
           static_cast<double>(stats.cancelled));
+  counter(out, "bbs_connections_accepted_total",
+          "Client connections accepted by the socket transport.",
+          static_cast<double>(stats.connections_accepted));
+  counter(out, "bbs_accept_failures_total",
+          "Transient accept() failures (fd or memory exhaustion).",
+          static_cast<double>(stats.accept_failures));
+  counter(out, "bbs_slow_client_disconnects_total",
+          "Connections dropped because their outbox stayed full past the "
+          "write deadline.",
+          static_cast<double>(stats.slow_client_disconnects));
   counter(out, "bbs_quota_rejections_total",
           "Request lines rejected over per-connection quota.",
           static_cast<double>(stats.quota_rejections));

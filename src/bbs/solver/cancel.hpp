@@ -1,11 +1,11 @@
 // Cooperative cancellation for long-running solves.
 //
-// A CancelToken is shared (via shared_ptr in SolverOptions) between the
+// A CancelToken is shared (via shared_ptr in SolveControl) between the
 // owner of a request — a service connection, a batch driver, a test — and
 // the IPM loop running on its behalf. The owner flips the flag or arms an
 // absolute deadline; the solver polls once per iteration and exits with a
 // terminal status (kCancelled / kTimedOut) instead of throwing, so the
-// workspace and warm snapshots of the enclosing session stay intact and
+// workspace and warm start of the enclosing session stay intact and
 // reusable.
 //
 // Both fields are plain atomics: arming and polling are wait-free, and an
@@ -29,7 +29,7 @@ class CancelToken {
   }
 
   /// Arms an absolute wall-clock deadline; the solver treats it exactly
-  /// like SolverOptions::time_limit_ms, taking whichever expires first.
+  /// like SolveControl::deadline, taking whichever expires first.
   void set_deadline(Clock::time_point deadline) {
     deadline_ns_.store(deadline.time_since_epoch().count(),
                        std::memory_order_relaxed);

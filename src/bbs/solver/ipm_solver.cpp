@@ -1,9 +1,9 @@
 #include "bbs/solver/ipm_solver.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "bbs/common/assert.hpp"
 
@@ -107,29 +107,14 @@ std::optional<SymbolicAnalysis> IpmWorkspace::export_symbolic() const {
   return kkt_ != nullptr ? kkt_->export_symbolic() : std::nullopt;
 }
 
-void IpmWorkspace::seed_warm(const Vector& x, const Vector& s,
-                             const Vector& z) {
-  warm_x_ = x;
-  warm_s_ = s;
-  warm_z_ = z;
-  have_warm_ = true;
-}
-
-void IpmWorkspace::clear_warm() {
-  have_warm_ = false;
-  warm_x_.clear();
-  warm_s_.clear();
-  warm_z_.clear();
-}
-
 SolveResult IpmSolver::solve(const ConicProblem& problem) const {
   IpmWorkspace workspace;
   return solve(problem, workspace);
 }
 
-SolveResult IpmSolver::solve(const ConicProblem& problem,
-                             IpmWorkspace& ws) const {
-  SolveResult result = solve_attempt(problem, ws, options_);
+SolveResult IpmSolver::solve(const ConicProblem& problem, IpmWorkspace& ws,
+                             const SolveControl& control) const {
+  SolveResult result = solve_attempt(problem, ws, options_, control);
   if (result.status != SolveStatus::kNumericalFailure ||
       options_.recovery_attempts <= 0) {
     return result;
@@ -141,18 +126,23 @@ SolveResult IpmSolver::solve(const ConicProblem& problem,
   // regularisation bump is numeric-only), so a recovered solve still
   // reports symbolic_factorisations == 1.
   SolverOptions opts = options_;
+  SolveControl rung_control = control;
   // An injected fault scoped to the first attempt (ipm.fail_once) is
   // disarmed here so the ladder can demonstrate an actual recovery; the
   // unscoped ipm.fail_at keeps firing and exhausts the ladder instead.
-  if (opts.fail_only_first_attempt) opts.fail_at_iteration = -1;
+  if (rung_control.fail_only_first_attempt) {
+    rung_control.fail_at_iteration = -1;
+  }
+  // Rung 1 drops the warm-start seed — a stale or near-boundary seed is the
+  // most common cause of a breakdown — and every rung restarts cold. The
+  // seed is set aside, not discarded: a ladder that reaches no optimum puts
+  // it back below, so the next solve of a bisection still starts warm.
+  IpmWorkspace::WarmPoint set_aside = std::exchange(ws.warm_, {});
   int total_iterations = result.iterations;
   int attempts = 0;
   for (; attempts < options_.recovery_attempts &&
          result.status == SolveStatus::kNumericalFailure;) {
     ++attempts;
-    // Rung 1: drop the warm-start seed — a stale or near-boundary seed is
-    // the most common cause of a breakdown — and restart cold.
-    ws.clear_warm();
     if (attempts >= 2) {
       // Rungs 2+: bump the static regularisation (cumulatively) and re-run
       // the Ruiz equilibration with extra rounds before the cold restart.
@@ -170,13 +160,14 @@ SolveResult IpmSolver::solve(const ConicProblem& problem,
                    attempts >= 2 ? ", bumped regularisation + re-equilibrate"
                                  : "");
     }
-    if (options_.trace_sink != nullptr) {
-      options_.trace_sink->ipm_ladder_rung(attempts,
-                                           opts.static_regularisation);
+    if (control.trace_sink != nullptr) {
+      control.trace_sink->ipm_ladder_rung(attempts,
+                                          opts.static_regularisation);
     }
-    result = solve_attempt(problem, ws, opts);
+    result = solve_attempt(problem, ws, opts, rung_control);
     total_iterations += result.iterations;
   }
+  if (result.status != SolveStatus::kOptimal) ws.warm_ = std::move(set_aside);
 
   // One ladder run is ONE logical solve: collapse the per-attempt counter
   // increments (each attempt bumped solves_ by one) and report the total
@@ -210,7 +201,8 @@ SolveResult IpmSolver::solve(const ConicProblem& problem,
 
 SolveResult IpmSolver::solve_attempt(const ConicProblem& problem,
                                      IpmWorkspace& ws,
-                                     const SolverOptions& options) const {
+                                     const SolverOptions& options,
+                                     const SolveControl& control) const {
   const auto n = static_cast<std::size_t>(problem.num_vars());
   const auto m = static_cast<std::size_t>(problem.num_rows());
   BBS_REQUIRE(m > 0, "IpmSolver: problem has no constraints");
@@ -287,19 +279,18 @@ SolveResult IpmSolver::solve_attempt(const ConicProblem& problem,
   // Any anomaly (non-finite data, point irrecoverably outside the cone)
   // falls back to the cold start below.
   bool warm = false;
-  if (options.warm_start && ws.have_warm_ && ws.warm_x_.size() == n &&
-      ws.warm_s_.size() == m && ws.warm_z_.size() == m) {
+  if (options.warm_start && !ws.warm_.x.empty()) {
     x.resize(n);
     s.resize(m);
     z.resize(m);
     double check = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
-      x[j] = ws.warm_x_[j] / col_scale[j];
+      x[j] = ws.warm_.x[j] / col_scale[j];
       check += std::abs(x[j]);
     }
     for (std::size_t i = 0; i < m; ++i) {
-      s[i] = ws.warm_s_[i] * row_scale[i];
-      z[i] = ws.warm_z_[i] / row_scale[i];
+      s[i] = ws.warm_.s[i] * row_scale[i];
+      z[i] = ws.warm_.z[i] / row_scale[i];
       check += std::abs(s[i]) + std::abs(z[i]);
     }
     if (std::isfinite(check)) {
@@ -394,10 +385,9 @@ SolveResult IpmSolver::solve_attempt(const ConicProblem& problem,
     ws.total_iterations_ += iterations;
     if (warm) ++ws.warm_started_solves_;
     if (status == SolveStatus::kOptimal) {
-      ws.warm_x_ = result.x;
-      ws.warm_s_ = result.s;
-      ws.warm_z_ = result.z;
-      ws.have_warm_ = true;
+      ws.warm_.x = result.x;
+      ws.warm_.s = result.s;
+      ws.warm_.z = result.z;
     }
     return result;
   };
@@ -446,20 +436,9 @@ SolveResult IpmSolver::solve_attempt(const ConicProblem& problem,
   // point up front, so the per-iteration cost is a single clock read — and
   // zero when nothing is armed.
   using SolveClock = CancelToken::Clock;
-  const CancelToken* cancel = options.cancel.get();
-  SolveClock::time_point deadline = SolveClock::time_point::max();
-  bool have_deadline = false;
-  if (options.time_limit_ms > 0.0) {
-    deadline = SolveClock::now() +
-               std::chrono::duration_cast<SolveClock::duration>(
-                   std::chrono::duration<double, std::milli>(
-                       options.time_limit_ms));
-    have_deadline = true;
-  }
-  if (options.deadline != SolveClock::time_point::max()) {
-    deadline = std::min(deadline, options.deadline);
-    have_deadline = true;
-  }
+  const CancelToken* cancel = control.cancel.get();
+  SolveClock::time_point deadline = control.deadline;
+  bool have_deadline = deadline != SolveClock::time_point::max();
   if (cancel != nullptr && cancel->has_deadline()) {
     deadline = std::min(deadline, cancel->deadline());
     have_deadline = true;
@@ -488,7 +467,7 @@ SolveResult IpmSolver::solve_attempt(const ConicProblem& problem,
                                               : SolveStatus::kTimedOut,
                       iter);
     }
-    if (iter == options.fail_at_iteration) {
+    if (iter == control.fail_at_iteration) {
       // Injected fault (chaos tests): a hard numerical failure, never
       // rescued by the best iterate.
       restore_best();
@@ -521,8 +500,8 @@ SolveResult IpmSolver::solve_attempt(const ConicProblem& problem,
                      "dres=%.3e gap=%.3e\n",
                      iter, mu, tau, kappa, pres, dres, gap);
       }
-      if (options.trace_sink != nullptr) {
-        options.trace_sink->ipm_iteration(iter, mu, pres, dres, last_alpha);
+      if (control.trace_sink != nullptr) {
+        control.trace_sink->ipm_iteration(iter, mu, pres, dres, last_alpha);
       }
       if (pres <= options.feas_tol && dres <= options.feas_tol &&
           (rel_gap <= options.gap_tol || gap <= options.gap_tol)) {

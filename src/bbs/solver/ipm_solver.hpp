@@ -33,7 +33,7 @@ enum class SolveStatus {
   kDualInfeasible,    ///< certificate: x with Gx + s = 0, s in K, c'x < 0
   kMaxIterations,
   kNumericalFailure,
-  kTimedOut,   ///< wall-clock budget (time_limit_ms / token deadline) expired
+  kTimedOut,   ///< SolveControl deadline or token deadline expired
   kCancelled,  ///< the solve's CancelToken was flipped mid-run
 };
 
@@ -74,9 +74,9 @@ struct SolverOptions {
   /// Ruiz equilibration rounds (0 disables scaling).
   int equilibrate_rounds = 3;
   /// Warm starting (workspace solves only): seed the embedding from the
-  /// previous solve's optimal (x, s, z), pushed back into the cone interior.
-  /// Falls back to the cold start when the previous solve was not optimal or
-  /// the shifted point leaves the cone.
+  /// last optimal (x, s, z) the workspace reached, pushed back into the
+  /// cone interior. Falls back to the cold start when no optimum is stored
+  /// or the shifted point leaves the cone.
   bool warm_start = true;
   /// Minimal distance from the cone boundary of the warm-start point, in
   /// equilibrated units (the cold start is the cone identity, margin 1).
@@ -88,36 +88,6 @@ struct SolverOptions {
   double warm_start_margin = 0.1;
   /// 0 = silent, 1 = per-solve summary, 2 = per-iteration trace to stderr.
   int verbosity = 0;
-  /// Wall-clock budget for one solve() call, in milliseconds; 0 disables.
-  /// Checked once per iteration: expiry returns the best iterate seen with
-  /// status kTimedOut (or kOptimal when it already meets the tolerances)
-  /// instead of throwing, leaving any enclosing workspace/session reusable.
-  double time_limit_ms = 0.0;
-  /// Absolute steady-clock deadline shared by *all* solves run under these
-  /// options — how a multi-solve request (sweep, bisection) spends one
-  /// budget across its probes; time_point::max() disables. Combines with
-  /// time_limit_ms and any armed token deadline (earliest wins). Excluded
-  /// from pool keys and JSON (it is per-execution state, not structure).
-  CancelToken::Clock::time_point deadline =
-      CancelToken::Clock::time_point::max();
-  /// Optional shared cancellation token, polled once per iteration (one
-  /// relaxed atomic load). A flipped flag exits with kCancelled; an armed
-  /// token deadline combines with time_limit_ms (earliest wins).
-  std::shared_ptr<CancelToken> cancel;
-  /// Fault injection: force a numerical-failure exit at this iteration
-  /// (-1 = off). Exists for the chaos tests; never set in production.
-  int fail_at_iteration = -1;
-  /// Scope of the injected failure: when true, fail_at_iteration only fires
-  /// on the *first* attempt of a solve, so the recovery ladder below can be
-  /// observed actually recovering (the `ipm.fail_once` failpoint); when
-  /// false (default) the fault re-fires on every retry and the ladder
-  /// exhausts into a hard kNumericalFailure (the `ipm.fail_at` failpoint).
-  bool fail_only_first_attempt = false;
-  /// Optional per-execution trace sink (per-iteration and ladder events for
-  /// request tracing). Not owned; the caller guarantees it outlives the
-  /// solve. Excluded from pool keys and JSON like deadline/cancel — it is
-  /// per-execution state, not structure. nullptr (default) emits nothing.
-  IpmTraceSink* trace_sink = nullptr;
   /// Numerical recovery ladder: on a kNumericalFailure exit, retry the
   /// solve up to this many times with progressively heavier-handed
   /// settings — attempt 1 drops the warm-start seed and restarts cold;
@@ -125,12 +95,43 @@ struct SolverOptions {
   /// recovery_regularisation_growth (cumulative) and re-run the Ruiz
   /// equilibration with extra rounds. The base options are restored
   /// afterwards, so a recovered workspace behaves identically on the next
-  /// solve. 0 disables the ladder — set that in tests that pin exact
-  /// iteration or solve counts.
+  /// solve; a ladder that reaches no optimum also puts the dropped seed
+  /// back, so the next solve still starts warm. 0 disables the ladder — set
+  /// that in tests that pin exact iteration or solve counts.
   int recovery_attempts = 2;
   /// Per-rung multiplier applied to static_regularisation from the second
   /// recovery attempt on.
   double recovery_regularisation_growth = 1e4;
+};
+
+/// Per-execution control of a workspace solve: everything that belongs to
+/// one request rather than to the problem structure. SolverOptions is
+/// baked into pooled sessions and pool keys; this is passed per solve, so
+/// one request's deadline, token or failpoint never leaks into the next.
+struct SolveControl {
+  /// Absolute steady-clock deadline shared by every solve run under this
+  /// control — how a multi-solve request (sweep, bisection) spends one
+  /// budget across its probes; time_point::max() disables. Combines with
+  /// an armed token deadline (earliest wins). Checked once per iteration:
+  /// expiry returns the best iterate seen with status kTimedOut (or
+  /// kOptimal when it already meets the tolerances) instead of throwing.
+  CancelToken::Clock::time_point deadline =
+      CancelToken::Clock::time_point::max();
+  /// Optional shared cancellation token, polled once per iteration (one
+  /// relaxed atomic load). A flipped flag exits with kCancelled.
+  std::shared_ptr<CancelToken> cancel;
+  /// Fault injection: force a numerical-failure exit at this iteration
+  /// (-1 = off). Exists for the chaos tests and failpoints.
+  int fail_at_iteration = -1;
+  /// Scope of the injected failure: when true, fail_at_iteration only fires
+  /// on the *first* attempt of a solve, so the recovery ladder can be
+  /// observed actually recovering (the `ipm.fail_once` failpoint); when
+  /// false the fault re-fires on every retry and the ladder exhausts into a
+  /// hard kNumericalFailure (the `ipm.fail_at` failpoint).
+  bool fail_only_first_attempt = false;
+  /// Optional trace sink for per-iteration and ladder events (request
+  /// tracing). Not owned; must outlive the solve. nullptr emits nothing.
+  IpmTraceSink* trace_sink = nullptr;
 };
 
 struct SolveResult {
@@ -191,17 +192,6 @@ class IpmWorkspace {
   /// ladder then produced a usable result (SolveResult::recovered).
   int recovered_solves() const { return recovered_solves_; }
 
-  /// Installs an explicit warm-start seed (original, unscaled coordinates)
-  /// for the next solve, replacing the auto-stored previous optimum. The
-  /// dimensions must match the bound problem — mismatched seeds are ignored
-  /// at solve time (cold start), never an error. The solve treats the point
-  /// exactly like an auto-stored optimum: it is mapped into the equilibrated
-  /// coordinates and padded back into the cone interior.
-  void seed_warm(const Vector& x, const Vector& s, const Vector& z);
-  /// Drops any stored warm-start point (the next solve is cold).
-  void clear_warm();
-  bool has_warm() const { return have_warm_; }
-
   /// Offers a cached symbolic analysis (from the persistent structure
   /// cache) for the KKT system this workspace will create on its first
   /// solve. Ignored if the KKT system already exists; validated — and
@@ -241,9 +231,12 @@ class IpmWorkspace {
   Vector r_dual_, r_pri_;
   Vector u1_, v1_, u2_, v2_;
   Vector dx_aff_, dz_aff_, ds_aff_, dx_, dz_, ds_;
-  // Previous optimal solution in original (unscaled) coordinates.
-  bool have_warm_ = false;
-  Vector warm_x_, warm_s_, warm_z_;
+  // Previous optimal solution in original (unscaled) coordinates; empty
+  // until a solve of the bound structure reaches an optimum.
+  struct WarmPoint {
+    Vector x, s, z;
+  };
+  WarmPoint warm_;
   // Set by the recovery ladder (and its cleanup) to force the next attempt
   // through the full numeric refresh — re-copy G, re-equilibrate, update
   // the KKT values — even when the raw coefficients are unchanged.
@@ -266,12 +259,13 @@ class IpmSolver {
   /// Solves with a persistent workspace. The first call binds `workspace`
   /// to the problem's structure; later calls require the same G pattern,
   /// cone and dimensions (ContractViolation otherwise) and reuse the
-  /// symbolic KKT analysis, the scaling buffers and — when enabled and the
-  /// previous solve was optimal — its solution as a warm start. A
-  /// kNumericalFailure exit escalates through the recovery ladder (see
-  /// SolverOptions::recovery_attempts) before it is reported.
-  SolveResult solve(const ConicProblem& problem,
-                    IpmWorkspace& workspace) const;
+  /// symbolic KKT analysis, the scaling buffers and — when enabled — the
+  /// last optimum reached as a warm start. A kNumericalFailure exit
+  /// escalates through the recovery ladder (see
+  /// SolverOptions::recovery_attempts) before it is reported. `control`
+  /// carries this execution's deadline, token, failpoint and trace sink.
+  SolveResult solve(const ConicProblem& problem, IpmWorkspace& workspace,
+                    const SolveControl& control = {}) const;
 
   const SolverOptions& options() const { return options_; }
 
@@ -280,7 +274,8 @@ class IpmSolver {
   /// analysis stays shared across attempts: regularisation changes go
   /// through KktSystem::set_static_regularisation, never a rebuild.
   SolveResult solve_attempt(const ConicProblem& problem, IpmWorkspace& ws,
-                            const SolverOptions& options) const;
+                            const SolverOptions& options,
+                            const SolveControl& control) const;
 
   SolverOptions options_;
 };

@@ -51,6 +51,7 @@ using service::JsonlSession;
 using service::RuntimeConfig;
 using service::ServiceStats;
 using solver::CancelToken;
+using solver::SolveControl;
 using solver::SolveStatus;
 
 using Clock = CancelToken::Clock;
@@ -79,7 +80,7 @@ struct FaultGuard {
 TEST(ServiceChaosSession, CancelledSolveLeavesSessionReusable) {
   core::SolverSession session(testing::paper_t1());
 
-  core::SolveControl control;
+  SolveControl control;
   control.cancel = std::make_shared<CancelToken>();
   control.cancel->cancel();  // already cancelled: the solve stops at entry
   session.set_solve_control(control);
@@ -92,7 +93,7 @@ TEST(ServiceChaosSession, CancelledSolveLeavesSessionReusable) {
   // The interruption refreshed no warm snapshot and invalidated nothing:
   // the very next solve succeeds on the same program and workspace, and
   // the one-time symbolic factorisation is still the only one ever done.
-  session.clear_solve_control();
+  session.set_solve_control({});
   const core::MappingResult result = session.solve();
   EXPECT_EQ(result.status, SolveStatus::kOptimal);
   EXPECT_TRUE(result.verified);
@@ -102,7 +103,7 @@ TEST(ServiceChaosSession, CancelledSolveLeavesSessionReusable) {
 TEST(ServiceChaosSession, ExpiredDeadlineTimesOutWithinOneIteration) {
   core::SolverSession session(testing::paper_t1());
 
-  core::SolveControl control;
+  SolveControl control;
   control.deadline = Clock::now() - std::chrono::milliseconds(1);
   session.set_solve_control(control);
 
@@ -113,7 +114,7 @@ TEST(ServiceChaosSession, ExpiredDeadlineTimesOutWithinOneIteration) {
   // and an already expired one stops the solve before the first step.
   EXPECT_LE(timed_out.ipm_iterations, 1);
 
-  session.clear_solve_control();
+  session.set_solve_control({});
   const core::MappingResult result = session.solve();
   EXPECT_EQ(result.status, SolveStatus::kOptimal);
   EXPECT_EQ(session.workspace().kkt()->stats().symbolic_factorisations, 1);
@@ -142,8 +143,9 @@ TEST(ServiceChaosEngine, ExpiredDeadlineYieldsStructuredErrorAndWarmPool) {
   api::Engine engine;
   const Request request = solve_request(testing::paper_t1(), "dl");
 
-  const Response expired = engine.run(
-      request, Clock::now() - std::chrono::milliseconds(1), nullptr);
+  SolveControl control;
+  control.deadline = Clock::now() - std::chrono::milliseconds(1);
+  const Response expired = engine.run(request, control);
   EXPECT_EQ(expired.status, ResponseStatus::kError);
   EXPECT_EQ(expired.error_code, ErrorCode::kDeadlineExceeded);
   EXPECT_TRUE(api::is_retryable(expired.error_code));
@@ -163,10 +165,10 @@ TEST(ServiceChaosEngine, CancelTokenInterruptsAndSessionRecovers) {
   api::Engine engine;
   const Request request = solve_request(testing::paper_t1(), "ct");
 
-  auto token = std::make_shared<CancelToken>();
-  token->cancel();
-  const Response cancelled =
-      engine.run(request, api::Engine::Deadline::max(), token);
+  SolveControl control;
+  control.cancel = std::make_shared<CancelToken>();
+  control.cancel->cancel();
+  const Response cancelled = engine.run(request, control);
   EXPECT_EQ(cancelled.status, ResponseStatus::kError);
   EXPECT_EQ(cancelled.error_code, ErrorCode::kCancelled);
 

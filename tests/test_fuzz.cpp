@@ -228,18 +228,23 @@ TEST(FuzzReproducer, CheckedInCorpusReplaysClean) {
 // Recovery ladder
 // ---------------------------------------------------------------------------
 
-Request failing_solve(bool only_first_attempt) {
+Request ladder_solve() {
   Request request;
   request.id = "ladder";
-  request.options.ipm.fail_at_iteration = 0;
-  request.options.ipm.fail_only_first_attempt = only_first_attempt;
   request.payload = api::SolveRequest{testing::paper_t1()};
   return request;
 }
 
+solver::SolveControl failing_control(bool only_first_attempt) {
+  solver::SolveControl control;
+  control.fail_at_iteration = 0;
+  control.fail_only_first_attempt = only_first_attempt;
+  return control;
+}
+
 TEST(FuzzRecoveryLadder, FirstAttemptFailureIsRescued) {
   Engine engine;
-  const Response response = engine.run(failing_solve(true));
+  const Response response = engine.run(ladder_solve(), failing_control(true));
   ASSERT_EQ(response.status, ResponseStatus::kOk);
   EXPECT_GE(response.diagnostics.recovered_solves, 1);
   const auto& mapping = std::get<api::SolvePayload>(response.payload).mapping;
@@ -268,7 +273,8 @@ TEST(FuzzRecoveryLadder, PersistentFailureIsAStructuredNumericalError) {
   // regularisation can rescue it — the engine must report a structured
   // numerical_failure instead of looping or crashing.
   Engine engine;
-  const Response response = engine.run(failing_solve(false));
+  const Response response =
+      engine.run(ladder_solve(), failing_control(false));
   ASSERT_EQ(response.status, ResponseStatus::kError);
   EXPECT_EQ(response.error_code, ErrorCode::kNumericalFailure);
   EXPECT_EQ(engine.stats().recovered_solves, 0u);
@@ -276,9 +282,9 @@ TEST(FuzzRecoveryLadder, PersistentFailureIsAStructuredNumericalError) {
 
 TEST(FuzzRecoveryLadder, DisabledLadderReportsTheFailure) {
   Engine engine;
-  Request request = failing_solve(true);
+  Request request = ladder_solve();
   request.options.ipm.recovery_attempts = 0;
-  const Response response = engine.run(request);
+  const Response response = engine.run(request, failing_control(true));
   ASSERT_EQ(response.status, ResponseStatus::kError);
   EXPECT_EQ(response.error_code, ErrorCode::kNumericalFailure);
 }
@@ -288,11 +294,10 @@ TEST(FuzzRecoveryLadder, FuzzOptionsSurfaceRecoveredSolves) {
   // injected-fault fuzz run actually exercised the ladder.
   Engine engine;
   CaseSpec spec = feasible_chain_spec();
-  Request request = build_request(spec);
-  request.options.ipm.fail_at_iteration = 0;
-  request.options.ipm.fail_only_first_attempt = true;
+  FuzzOptions options;
+  options.inject_fail_first = true;
   const CaseResult result =
-      run_request_checks(engine, spec, request, FuzzOptions{});
+      run_request_checks(engine, spec, build_request(spec), options);
   ASSERT_TRUE(result.passed) << (result.failures.empty()
                                      ? "no failure recorded"
                                      : result.failures.front());

@@ -6,7 +6,7 @@
 
 #include "bbs/common/rng.hpp"
 #include "bbs/solver/ipm_solver.hpp"
-#include "bbs/solver/simplex.hpp"
+#include "testing/simplex.hpp"
 
 namespace bbs::solver {
 namespace {

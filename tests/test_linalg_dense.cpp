@@ -5,7 +5,7 @@
 
 #include "bbs/common/assert.hpp"
 #include "bbs/common/rng.hpp"
-#include "bbs/linalg/dense_cholesky.hpp"
+#include "testing/dense_cholesky.hpp"
 #include "bbs/linalg/dense_matrix.hpp"
 
 namespace bbs::linalg {

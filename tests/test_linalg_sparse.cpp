@@ -6,7 +6,7 @@
 
 #include "bbs/common/assert.hpp"
 #include "bbs/common/rng.hpp"
-#include "bbs/linalg/dense_cholesky.hpp"
+#include "testing/dense_cholesky.hpp"
 #include "bbs/linalg/sparse_ldlt.hpp"
 #include "bbs/linalg/sparse_matrix.hpp"
 

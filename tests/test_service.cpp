@@ -1164,6 +1164,44 @@ TEST(ServiceMetrics, EmptyHistogramsAreOmittedFromTheExposition) {
   EXPECT_TRUE(metric_samples(text, "bbs_request_latency_ms_bucket").empty());
 }
 
+TEST(ServiceMetrics, EveryStatsCounterHasAnEqualMetricsSample) {
+  // Distinct non-zero values, so a sample wired to the wrong field shows.
+  ServiceStats stats;
+  std::uint64_t next = 1;
+  for (std::uint64_t* field :
+       {&stats.requests, &stats.ok, &stats.infeasible, &stats.errors,
+        &stats.warm_hits, &stats.symbolic_factorisations,
+        &stats.recovered_solves, &stats.prewarmed_sessions, &stats.stolen,
+        &stats.deadline_shed, &stats.timed_out_mid_solve, &stats.cancelled,
+        &stats.connections_accepted, &stats.accept_failures,
+        &stats.slow_client_disconnects, &stats.quota_rejections,
+        &stats.overload_rejections}) {
+    *field = 100 + next++;
+  }
+  stats.queue_depth = 100 + next++;
+
+  const std::string text = service::metrics_exposition(stats, nullptr, nullptr);
+  const io::JsonValue doc = service::service_stats_to_json_value(stats);
+  // Families whose names do not follow bbs_<stats key>_total.
+  const std::map<std::string, std::string> renamed = {
+      {"ok", "bbs_requests_ok_total"},
+      {"infeasible", "bbs_requests_infeasible_total"},
+      {"errors", "bbs_requests_errors_total"},
+      {"queue_depth", "bbs_queue_depth"}};
+  int checked = 0;
+  for (const auto& [key, value] : doc.as_object().entries()) {
+    if (!value.is_number()) continue;  // per-worker and outbox arrays
+    const auto it = renamed.find(key);
+    const std::string name =
+        it != renamed.end() ? it->second : "bbs_" + key + "_total";
+    const auto samples = metric_samples(text, name);
+    ASSERT_EQ(samples.size(), 1u) << key << " has no sample " << name;
+    EXPECT_EQ(samples[0].second, value.as_number()) << name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 18);
+}
+
 // ---------------------------------------------------------------------------
 // Socket front end (AF_UNIX + TCP)
 // ---------------------------------------------------------------------------

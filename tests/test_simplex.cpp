@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bbs/common/assert.hpp"
-#include "bbs/solver/simplex.hpp"
+#include "testing/simplex.hpp"
 
 namespace bbs::solver {
 namespace {

@@ -278,61 +278,6 @@ TEST(IpmWorkspace, SurvivesDestructionOfTheBoundProblem) {
   EXPECT_TRUE(again.warm_started);
 }
 
-TEST(SolverSession, BisectionRecordsBothSeedSides) {
-  // A period bisection alternates between feasible and infeasible probes;
-  // the session must stock a snapshot per side and attribute every solve's
-  // iterations to the seed that started it.
-  const model::Configuration config = testing::multi_graph_sweep();
-  SessionOptions options;
-  options.mapping = tight_options();
-  options.mapping.verify = false;
-  SolverSession session(config, options);
-  const auto found = minimal_feasible_period(session, 0, 14.0, 1e-4,
-                                             /*verify_result=*/false);
-  ASSERT_TRUE(found.has_value());
-
-  EXPECT_TRUE(session.has_feasible_seed());
-  EXPECT_TRUE(session.has_infeasible_seed());
-  const SeedStats& stats = session.seed_stats();
-  EXPECT_GT(stats.last_feasible_updates, 0);
-  EXPECT_GT(stats.last_infeasible_updates, 0);
-  // Every solve is accounted to exactly one seed side, iterations included.
-  EXPECT_EQ(stats.cold + stats.seeded_feasible + stats.seeded_infeasible,
-            session.solves());
-  EXPECT_EQ(stats.iterations_cold + stats.iterations_seeded_feasible +
-                stats.iterations_seeded_infeasible,
-            session.total_ipm_iterations());
-  EXPECT_GE(stats.cold, 1);          // the very first solve has no seed
-  EXPECT_GT(stats.seeded_feasible, 0);
-  EXPECT_GT(stats.last_iterations, 0);
-}
-
-TEST(SolverSession, TwoSidedSeedingMatchesOneSidedSearch) {
-  // Seeding is a pure accelerator: the bisection must take the identical
-  // feasibility decisions and land on the identical mapping either way.
-  std::optional<MinimalPeriodResult> results[2];
-  long iterations[2] = {0, 0};
-  for (const bool two_sided : {false, true}) {
-    const model::Configuration config = testing::multi_graph_sweep();
-    SessionOptions options;
-    options.mapping = tight_options();
-    options.mapping.verify = false;
-    options.two_sided_warm_seeds = two_sided;
-    SolverSession session(config, options);
-    results[two_sided] =
-        minimal_feasible_period(session, 0, 14.0, 1e-4, false);
-    iterations[two_sided] = session.total_ipm_iterations();
-    ASSERT_TRUE(results[two_sided].has_value());
-  }
-  EXPECT_DOUBLE_EQ(results[0]->period, results[1]->period);
-  expect_same_mapping(results[1]->mapping, results[0]->mapping,
-                      "two-sided vs one-sided");
-  // The infeasible-side seed only fires when its residual merit beats the
-  // feasible optimum's, so the iteration total can only move by what those
-  // solves save; it must never blow up.
-  EXPECT_LE(iterations[1], iterations[0] + 8);
-}
-
 TEST(IpmWorkspace, RepeatSolveWarmStartsAndAgrees) {
   const BuiltProgram program = build_algorithm1(testing::multi_graph_sweep());
   const solver::IpmSolver ipm;
@@ -349,38 +294,29 @@ TEST(IpmWorkspace, RepeatSolveWarmStartsAndAgrees) {
   BBS_EXPECT_NEAR_REL(second.primal_objective, first.primal_objective, 1e-6);
 }
 
-TEST(IpmWorkspace, ExplicitSeedWarmStartsNextSolve) {
-  const BuiltProgram program = build_algorithm1(testing::multi_graph_sweep());
-  const solver::IpmSolver ipm;
-  solver::IpmWorkspace cold_ws;
-  const solver::SolveResult cold = ipm.solve(program.problem, cold_ws);
-  ASSERT_TRUE(cold.is_optimal());
-
-  // Transplant the solution into a fresh workspace (what a session does
-  // when re-installing a side snapshot): the next solve warm-starts.
-  solver::IpmWorkspace seeded_ws;
-  seeded_ws.seed_warm(cold.x, cold.s, cold.z);
-  EXPECT_TRUE(seeded_ws.has_warm());
-  const solver::SolveResult warm = ipm.solve(program.problem, seeded_ws);
-  ASSERT_TRUE(warm.is_optimal());
-  EXPECT_TRUE(warm.warm_started);
-  EXPECT_LE(warm.iterations, cold.iterations);
-  BBS_EXPECT_NEAR_REL(warm.primal_objective, cold.primal_objective, 1e-6);
-
-  seeded_ws.clear_warm();
-  EXPECT_FALSE(seeded_ws.has_warm());
-  const solver::SolveResult recold = ipm.solve(program.problem, seeded_ws);
-  EXPECT_FALSE(recold.warm_started);
-}
-
-TEST(IpmWorkspace, MismatchedSeedDimensionsFallBackToColdStart) {
+TEST(IpmWorkspace, ExhaustedLadderKeepsTheWarmStart) {
+  // The recovery ladder drops the warm start for its cold retries. When no
+  // rung reaches an optimum it must put the last optimum back, so the next
+  // solve (the next bisection probe) still starts warm.
   const BuiltProgram program = build_algorithm1(testing::multi_graph_sweep());
   const solver::IpmSolver ipm;
   solver::IpmWorkspace workspace;
-  workspace.seed_warm(Vector(3, 1.0), Vector(2, 1.0), Vector(2, 1.0));
-  const solver::SolveResult result = ipm.solve(program.problem, workspace);
-  ASSERT_TRUE(result.is_optimal());
-  EXPECT_FALSE(result.warm_started);
+  const solver::SolveResult cold = ipm.solve(program.problem, workspace);
+  ASSERT_TRUE(cold.is_optimal());
+  ASSERT_FALSE(cold.warm_started);
+
+  solver::SolveControl failing;
+  failing.fail_at_iteration = 0;  // re-fires on every rung: the ladder runs dry
+  const solver::SolveResult failed =
+      ipm.solve(program.problem, workspace, failing);
+  EXPECT_EQ(failed.status, solver::SolveStatus::kNumericalFailure);
+  EXPECT_EQ(failed.recovery_attempts, ipm.options().recovery_attempts);
+  EXPECT_FALSE(failed.recovered);
+
+  const solver::SolveResult next = ipm.solve(program.problem, workspace);
+  ASSERT_TRUE(next.is_optimal());
+  EXPECT_TRUE(next.warm_started);
+  BBS_EXPECT_NEAR_REL(next.primal_objective, cold.primal_objective, 1e-6);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "bbs/linalg/dense_cholesky.hpp"
+#include "testing/dense_cholesky.hpp"
 
 #include <cmath>
 

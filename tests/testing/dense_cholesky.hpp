@@ -1,8 +1,8 @@
 // Dense LDL^T factorisation of symmetric positive-definite (or, with
 // regularisation, quasi-definite) matrices.
 //
-// Used for the reference KKT path of the interior-point solver (tests compare
-// the sparse path against this) and for small dense systems in the NT scaling.
+// Test oracle only (not part of the library): the sparse LDL^T kernels and
+// the KKT path are compared against this straightforward dense reference.
 #pragma once
 
 #include "bbs/linalg/dense_matrix.hpp"

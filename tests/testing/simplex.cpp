@@ -1,4 +1,4 @@
-#include "bbs/solver/simplex.hpp"
+#include "testing/simplex.hpp"
 
 #include <cmath>
 #include <limits>

@@ -3,10 +3,9 @@
 //     minimise   c' x
 //     subject to A x <= b          (x free)
 //
-// This solver exists to cross-validate the interior-point method: every LP is
-// solved by two completely independent algorithms in the test suite, and the
-// buffer-sizing-with-fixed-budgets subproblem (a pure LP, as in the earlier
-// work the paper builds on) can be solved by either backend.
+// Test oracle only (not part of the library). It exists to cross-validate
+// the interior-point method: every LP in the test suite is solved by two
+// completely independent algorithms.
 //
 // The implementation is a classic dense tableau with Bland's anti-cycling
 // rule; free variables are handled by the x = x+ - x- split. It is intended
