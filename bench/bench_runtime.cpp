@@ -548,6 +548,44 @@ BENCHMARK(BM_KktFactorise)
     ->Unit(benchmark::kMicrosecond)
     ->Complexity();
 
+/// One KKT solve after a factorisation: the normal-equation solve plus its
+/// refinement round on the full 2x2 system. IpmSolver::solve runs three per
+/// iteration (constant part, affine, corrector) against one factorisation.
+void BM_KktSolve(benchmark::State& state) {
+  bbs::gen::GenParams params;
+  params.num_processors = 8;
+  params.seed = 13;
+  const bbs::model::Configuration config = bbs::gen::make_random_dag(
+      static_cast<bbs::linalg::Index>(state.range(0)), 0.5, params);
+  const bbs::core::BuiltProgram prog = bbs::core::build_algorithm1(config);
+  const bbs::solver::ConeSpec& cone = prog.problem.cone();
+
+  bbs::Rng rng(29);
+  bbs::solver::NtScaling scaling(cone);
+  scaling.update(bbs::solver::random_interior_point(cone, rng),
+                 bbs::solver::random_interior_point(cone, rng));
+  bbs::solver::KktSystem kkt(prog.problem.g());
+  kkt.factorise(scaling);
+
+  bbs::linalg::Vector p(static_cast<std::size_t>(prog.problem.num_vars()));
+  bbs::linalg::Vector q(static_cast<std::size_t>(prog.problem.num_rows()));
+  for (double& v : p) v = rng.next_real(-1.0, 1.0);
+  for (double& v : q) v = rng.next_real(-1.0, 1.0);
+  bbs::linalg::Vector u;
+  bbs::linalg::Vector v;
+  for (auto _ : state) {
+    kkt.solve(scaling, p, q, u, v);
+    benchmark::DoNotOptimize(u.data());
+    benchmark::DoNotOptimize(v.data());
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_KktSolve)
+    ->RangeMultiplier(2)
+    ->Range(16, 64)
+    ->Unit(benchmark::kMicrosecond)
+    ->Complexity();
+
 /// Cold-path symbolic cost: the minimum-degree ordering of a fresh
 /// structure's normal-equation pattern, built as KktSystem::factorise
 /// builds it (W^{-2} block pattern, S·G, G'·(S·G) with forced diagonal).

@@ -140,7 +140,6 @@ std::string pool_key(const model::Configuration& config, Mode mode,
   key += ipm.warm_start ? '1' : '0';
   append_num(key, ipm.warm_start_margin);
   append_index(key, ipm.recovery_attempts);
-  append_num(key, ipm.recovery_regularisation_growth);
   append_num(key, options.rounding_eps);
   return key;
 }
@@ -234,8 +233,6 @@ io::JsonValue session_payload_to_json(const core::SolverSession& session) {
   ipm_json["warm_start_margin"] = ipm.warm_start_margin;
   ipm_json["recovery_attempts"] =
       static_cast<long long>(ipm.recovery_attempts);
-  ipm_json["recovery_regularisation_growth"] =
-      ipm.recovery_regularisation_growth;
 
   io::JsonObject payload;
   payload["configuration"] =
@@ -283,8 +280,6 @@ void session_payload_from_json(const io::JsonValue& payload,
   ipm.warm_start_margin = ipm_json.at("warm_start_margin").as_number();
   ipm.recovery_attempts =
       static_cast<int>(ipm_json.at("recovery_attempts").as_number());
-  ipm.recovery_regularisation_growth =
-      ipm_json.at("recovery_regularisation_growth").as_number();
 
   base.mapping.rounding_eps = object.at("rounding_eps").as_number();
   if (object.contains("fixed_budgets")) {

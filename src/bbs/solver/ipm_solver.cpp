@@ -122,8 +122,8 @@ SolveResult IpmSolver::solve(const ConicProblem& problem, IpmWorkspace& ws,
 
   // --- Recovery ladder -------------------------------------------------------
   // Each rung retries the whole solve with progressively heavier-handed
-  // numerics. The symbolic KKT analysis is shared by every attempt (the
-  // regularisation bump is numeric-only), so a recovered solve still
+  // numerics. The symbolic KKT analysis is shared by every attempt (a
+  // re-equilibration only changes values), so a recovered solve still
   // reports symbolic_factorisations == 1.
   SolverOptions opts = options_;
   SolveControl rung_control = control;
@@ -144,25 +144,19 @@ SolveResult IpmSolver::solve(const ConicProblem& problem, IpmWorkspace& ws,
          result.status == SolveStatus::kNumericalFailure;) {
     ++attempts;
     if (attempts >= 2) {
-      // Rungs 2+: bump the static regularisation (cumulatively) and re-run
-      // the Ruiz equilibration with extra rounds before the cold restart.
-      opts.static_regularisation *= options_.recovery_regularisation_growth;
+      // Rungs 2+: re-run the Ruiz equilibration with extra rounds before
+      // the cold restart.
       opts.equilibrate_rounds = std::max(options_.equilibrate_rounds, 2) * 2;
-      if (ws.kkt_ != nullptr) {
-        ws.kkt_->set_static_regularisation(opts.static_regularisation);
-      }
       ws.refresh_numerics_ = true;
     }
     if (options_.verbosity >= 1) {
       std::fprintf(stderr,
                    "[ipm] recovery attempt %d/%d (cold restart%s)\n", attempts,
                    options_.recovery_attempts,
-                   attempts >= 2 ? ", bumped regularisation + re-equilibrate"
-                                 : "");
+                   attempts >= 2 ? " + re-equilibrate" : "");
     }
     if (control.trace_sink != nullptr) {
-      control.trace_sink->ipm_ladder_rung(attempts,
-                                          opts.static_regularisation);
+      control.trace_sink->ipm_ladder_rung(attempts);
     }
     result = solve_attempt(problem, ws, opts, rung_control);
     total_iterations += result.iterations;
@@ -176,15 +170,11 @@ SolveResult IpmSolver::solve(const ConicProblem& problem, IpmWorkspace& ws,
   ws.solves_ -= attempts;
   result.iterations = total_iterations;
 
-  // Restore the base numerics so later solves through this workspace are
-  // unaffected by the ladder (if the instance genuinely needs the bump, the
-  // ladder will earn it again — and the recovery will be visible again).
-  if (attempts >= 2) {
-    if (ws.kkt_ != nullptr) {
-      ws.kkt_->set_static_regularisation(options_.static_regularisation);
-    }
-    ws.refresh_numerics_ = true;
-  }
+  // Restore the base equilibration so later solves through this workspace
+  // are unaffected by the ladder (if the instance genuinely needs the extra
+  // rounds, the ladder will earn them again — and the recovery will be
+  // visible again).
+  if (attempts >= 2) ws.refresh_numerics_ = true;
 
   result.recovery_attempts = attempts;
   // "Recovered" means the retry produced a usable answer — an optimum or an

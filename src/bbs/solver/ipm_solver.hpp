@@ -53,9 +53,8 @@ class IpmTraceSink {
   /// iteration's step is not known yet at test time).
   virtual void ipm_iteration(int iteration, double mu, double primal_residual,
                              double dual_residual, double step) = 0;
-  /// Once per recovery-ladder rung (attempt >= 1), with the static
-  /// regularisation the retry will run under.
-  virtual void ipm_ladder_rung(int attempt, double static_regularisation) = 0;
+  /// Once per recovery-ladder rung (attempt >= 1).
+  virtual void ipm_ladder_rung(int attempt) = 0;
 };
 
 struct SolverOptions {
@@ -69,7 +68,8 @@ struct SolverOptions {
   /// Fraction of the step to the cone boundary actually taken.
   double step_fraction = 0.99;
   int refine_steps = 1;
-  double static_regularisation = 1e-12;
+  /// See KktSystem::Options.
+  double static_regularisation = 1e-15;
   linalg::OrderingMethod ordering = linalg::OrderingMethod::kMinimumDegree;
   /// Ruiz equilibration rounds (0 disables scaling).
   int equilibrate_rounds = 3;
@@ -89,19 +89,14 @@ struct SolverOptions {
   /// 0 = silent, 1 = per-solve summary, 2 = per-iteration trace to stderr.
   int verbosity = 0;
   /// Numerical recovery ladder: on a kNumericalFailure exit, retry the
-  /// solve up to this many times with progressively heavier-handed
-  /// settings — attempt 1 drops the warm-start seed and restarts cold;
-  /// attempts 2+ additionally multiply the static regularisation by
-  /// recovery_regularisation_growth (cumulative) and re-run the Ruiz
-  /// equilibration with extra rounds. The base options are restored
-  /// afterwards, so a recovered workspace behaves identically on the next
-  /// solve; a ladder that reaches no optimum also puts the dropped seed
-  /// back, so the next solve still starts warm. 0 disables the ladder — set
-  /// that in tests that pin exact iteration or solve counts.
+  /// solve up to this many times — attempt 1 drops the warm-start seed and
+  /// restarts cold; attempts 2+ additionally re-run the Ruiz equilibration
+  /// with extra rounds. The base equilibration is restored afterwards, so a
+  /// recovered workspace behaves identically on the next solve; a ladder
+  /// that reaches no optimum also puts the dropped seed back, so the next
+  /// solve still starts warm. 0 disables the ladder — set that in tests
+  /// that pin exact iteration or solve counts.
   int recovery_attempts = 2;
-  /// Per-rung multiplier applied to static_regularisation from the second
-  /// recovery attempt on.
-  double recovery_regularisation_growth = 1e4;
 };
 
 /// Per-execution control of a workspace solve: everything that belongs to
@@ -271,8 +266,7 @@ class IpmSolver {
 
  private:
   /// One interior-point run under `options` (no ladder). The symbolic KKT
-  /// analysis stays shared across attempts: regularisation changes go
-  /// through KktSystem::set_static_regularisation, never a rebuild.
+  /// analysis stays shared across attempts.
   SolveResult solve_attempt(const ConicProblem& problem, IpmWorkspace& ws,
                             const SolverOptions& options,
                             const SolveControl& control) const;

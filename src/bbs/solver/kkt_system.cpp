@@ -204,34 +204,26 @@ void KktSystem::solve(const NtScaling& scaling, const Vector& p,
 
   solve_once(scaling, p, q, u, v);
 
-  // Outer iterative refinement on the full 2x2 system
+  // One round of refinement on the full 2x2 system
   //     G'v = p ;  G u - W^2 v = q.
   // The normal-equation reduction squares the conditioning of W, so the
   // first solution degrades as the interior-point method approaches the
-  // boundary; a couple of refinement rounds at this level restores the
-  // direction accuracy cheaply (same factorisation, two mat-vecs per round).
-  // The rounds are deliberately unconditional (apart from the
-  // at-machine-precision exit): progress-based early exits were tried for
-  // the warm-started re-solve path and destabilise cold solves whose
-  // refinement converges non-monotonically in the inf-norm.
-  for (int round = 0; round < options_.outer_refine_steps; ++round) {
-    // r1 = p - G'v ; r2 = q - G u + W^2 v.
-    work_r1_ = p;
-    g_.gaxpy_transpose(-1.0, v, work_r1_);
-    scaling.apply_w_into(v, work_tmp_m_);
-    scaling.apply_w_into(work_tmp_m_, work_w2v_);
-    work_r2_.resize(q.size());
-    for (std::size_t i = 0; i < q.size(); ++i)
-      work_r2_[i] = q[i] + work_w2v_[i];
-    g_.gaxpy(-1.0, u, work_r2_);
+  // boundary; one round against the same factorisation restores the
+  // direction accuracy. r1 = p - G'v ; r2 = q - G u + W^2 v.
+  work_r1_ = p;
+  g_.gaxpy_transpose(-1.0, v, work_r1_);
+  scaling.apply_w_into(v, work_tmp_m_);
+  scaling.apply_w_into(work_tmp_m_, work_w2v_);
+  work_r2_.resize(q.size());
+  for (std::size_t i = 0; i < q.size(); ++i) work_r2_[i] = q[i] + work_w2v_[i];
+  g_.gaxpy(-1.0, u, work_r2_);
 
-    const double err =
-        std::max(linalg::norm_inf(work_r1_), linalg::norm_inf(work_r2_));
-    if (err < 1e-14) break;
-    solve_once(scaling, work_r1_, work_r2_, work_du_, work_dv_);
-    linalg::axpy(1.0, work_du_, u);
-    linalg::axpy(1.0, work_dv_, v);
-  }
+  const double err =
+      std::max(linalg::norm_inf(work_r1_), linalg::norm_inf(work_r2_));
+  if (err < 1e-14) return;
+  solve_once(scaling, work_r1_, work_r2_, work_du_, work_dv_);
+  linalg::axpy(1.0, work_du_, u);
+  linalg::axpy(1.0, work_dv_, v);
 }
 
 Index KktSystem::factor_nnz() const {

@@ -10,8 +10,11 @@
 //     (G' W^{-2} G) u = p + G' W^{-2} q,      v = W^{-2} (G u - q).
 //
 // The normal-equation matrix is symmetric positive definite whenever G has
-// full column rank; a small static regularisation plus iterative refinement
-// keeps the solve accurate as W becomes ill-conditioned near convergence.
+// full column rank. Its static regularisation stays at the scale of the
+// small pivots (1e-15 of the largest diagonal entry): near convergence the
+// diagonal spans many orders of magnitude, and a larger term swamps the
+// pivots of weakly constrained columns. One round of refinement on the full
+// 2x2 system restores the accuracy the reduction loses to W's conditioning.
 //
 // The sparsity pattern of G' W^{-2} G is identical on every interior-point
 // iteration, so all symbolic work happens exactly once, on the first
@@ -55,13 +58,11 @@ class KktSystem {
   struct Options {
     linalg::OrderingMethod ordering = linalg::OrderingMethod::kMinimumDegree;
     /// Static Tikhonov term added to the normal equations, relative to the
-    /// largest diagonal entry.
-    double static_regularisation = 1e-12;
+    /// largest diagonal entry (1e-12 already stalls feasible multi-graph
+    /// solves short of the dual-residual tolerance).
+    double static_regularisation = 1e-15;
     /// Rounds of iterative refinement of the normal-equation solve.
     int refine_steps = 1;
-    /// Rounds of refinement of the full 2x2 KKT system (restores accuracy
-    /// lost to the squared conditioning of the normal-equation reduction).
-    int outer_refine_steps = 3;
   };
 
   /// Counters exposing the symbolic-reuse invariant: after the first
@@ -103,24 +104,13 @@ class KktSystem {
   /// path.
   void update_matrix_values(const linalg::SparseMatrix& g);
 
-  /// Solves the 2x2 system above. `p` has num_vars entries, `q` has
-  /// cone-dimension entries. Must be called after factorise().
+  /// Solves the 2x2 system above, refined once. `p` has num_vars entries,
+  /// `q` has cone-dimension entries. Must be called after factorise().
   void solve(const NtScaling& scaling, const Vector& p, const Vector& q,
              Vector& u, Vector& v) const;
 
   /// Fill-in statistics of the last factorisation (for the ordering bench).
   Index factor_nnz() const;
-
-  /// Adjusts the Tikhonov term used by subsequent factorise() calls. Purely
-  /// numeric: the diagonal is part of the fixed normal-equation pattern, so
-  /// no symbolic state is touched — the recovery ladder bumps and restores
-  /// this without ever re-running the analysis.
-  void set_static_regularisation(double value) {
-    options_.static_regularisation = value;
-  }
-  double static_regularisation() const {
-    return options_.static_regularisation;
-  }
 
   /// Offers a cached symbolic analysis for the first factorise() call. Must
   /// be called before the first factorise(); the hint is validated there
@@ -161,8 +151,8 @@ class KktSystem {
   /// rejected) by the first factorise().
   std::unique_ptr<SymbolicAnalysis> pending_symbolic_;
   Stats stats_;
-  // Solve workspaces, hoisted out of the refinement loops (mutable: solve()
-  // is logically const and runs several times per interior-point iteration).
+  // Solve workspaces, hoisted out of solve() (mutable: solve() is logically
+  // const and runs several times per interior-point iteration).
   mutable Vector work_tmp_m_;
   mutable Vector work_w2q_;
   mutable Vector work_rhs_;

@@ -14,7 +14,7 @@ namespace bbs::telemetry {
 namespace {
 
 constexpr const char* kMagic = "BBSCACHE";
-constexpr const char* kVersion = "v1";
+constexpr const char* kVersion = "v2";
 
 std::string hex64(std::uint64_t value) {
   char buffer[17];

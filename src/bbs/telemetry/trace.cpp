@@ -135,14 +135,13 @@ void Trace::ipm_iteration(int iteration, double mu, double primal_residual,
   events_.push_back(std::move(event));
 }
 
-void Trace::ipm_ladder_rung(int attempt, double static_regularisation) {
+void Trace::ipm_ladder_rung(int attempt) {
   const double now = elapsed_ms();
   std::lock_guard<std::mutex> lock(mutex_);
   TraceEvent event;
   event.name = "ipm_ladder_rung";
   event.t_ms = now;
-  event.attrs = {{"attempt", static_cast<double>(attempt)},
-                 {"static_regularisation", static_regularisation}};
+  event.attrs = {{"attempt", static_cast<double>(attempt)}};
   events_.push_back(std::move(event));
 }
 

@@ -85,7 +85,7 @@ class Trace final : public solver::IpmTraceSink {
   /// pathological solve cannot balloon a trace.
   void ipm_iteration(int iteration, double mu, double primal_residual,
                      double dual_residual, double step) override;
-  void ipm_ladder_rung(int attempt, double static_regularisation) override;
+  void ipm_ladder_rung(int attempt) override;
 
   io::JsonValue to_json_value() const;
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <string>
 
 #include "bbs/api/engine.hpp"
 #include "bbs/common/assert.hpp"
@@ -595,6 +597,25 @@ TEST(ApiEngine, SweepRequestPoolsWithEqualStructure) {
       EXPECT_EQ(sweep.points[k].capacities, fresh.points[k].capacities);
     }
   }
+}
+
+TEST(ApiEngine, HeldOutColdLargeRequestSolvesOptimal) {
+  // An 84-task, 4-processor joint solve from servebench's cold_large stream
+  // (seed 90210, request q2005). A KKT regularisation of 1e-12 of the
+  // largest diagonal entry stalled it into numerical_failure with the
+  // recovery ladder exhausted.
+  std::ifstream in(std::string(BBS_TEST_DATA_DIR) +
+                   "/cold_large-90210-q2005.jsonl");
+  ASSERT_TRUE(in.good());
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  Engine engine;
+  const Response response = engine.run(io::request_from_json(line));
+  ASSERT_EQ(response.status, ResponseStatus::kOk) << response.error;
+  const auto& mapping = std::get<api::SolvePayload>(response.payload).mapping;
+  EXPECT_EQ(mapping.status, solver::SolveStatus::kOptimal);
+  EXPECT_TRUE(mapping.verified);
+  EXPECT_FALSE(mapping.recovered);
 }
 
 }  // namespace

@@ -478,11 +478,12 @@ TEST(TelemetryCache, CorruptStaleAndMisnamedEntriesAreSkippedAndCounted) {
   std::string flipped = valid_bytes;
   flipped.back() = flipped.back() == '}' ? ']' : '}';
   write_file(broken.path + "/00000000000000aa.bbsc", flipped);
-  // (3) Stale format version (the header's "v1" bumped to "v9").
+  // (3) Stale format version: a v1 entry. Its pool key carries the old KKT
+  // regularisation default, so no request could ever hit it.
+  const std::string header = "BBSCACHE v2 ";
+  ASSERT_EQ(valid_bytes.compare(0, header.size(), header), 0);
   std::string stale = valid_bytes;
-  const std::size_t v = stale.find("v1");
-  ASSERT_NE(v, std::string::npos);
-  stale.replace(v, 2, "v9");
+  stale.replace(header.size() - 3, 2, "v1");
   write_file(broken.path + "/00000000000000bb.bbsc", stale);
   // (4) Valid bytes under a name the entry's key does not hash to.
   write_file(broken.path + "/00000000000000cc.bbsc", valid_bytes);
@@ -602,7 +603,7 @@ TEST(TelemetryTrace, IpmIterationEventsAreCappedLadderRungsAreNot) {
   for (int i = 0; i < kIterations; ++i) {
     trace.ipm_iteration(i, 1e-3, 1e-6, 1e-6, 0.9);
   }
-  trace.ipm_ladder_rung(1, 1e-8);
+  trace.ipm_ladder_rung(1);
   const io::JsonValue doc = trace.to_json_value();
   EXPECT_EQ(events_named(doc, "ipm_iteration").size(), Trace::kMaxIpmEvents);
   EXPECT_EQ(events_named(doc, "ipm_ladder_rung").size(), 1u);

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bbs/common/assert.hpp"
+#include "bbs/core/budget_buffer_solver.hpp"
 #include "bbs/core/tradeoff.hpp"
 #include "bbs/gen/generators.hpp"
 #include "testing/support.hpp"
@@ -123,6 +127,86 @@ TEST(Tradeoff, RejectsBadRange) {
   model::Configuration config = gen::producer_consumer_t1();
   EXPECT_THROW(sweep_max_capacity(config, 0, 0, 5), ContractViolation);
   EXPECT_THROW(sweep_max_capacity(config, 0, 4, 2), ContractViolation);
+}
+
+// ---------------------------------------------------------------------------
+// Upward closure of the feasible periods
+// ---------------------------------------------------------------------------
+
+/// A cold one-shot joint solve of `config` with graph `graph`'s required
+/// period replaced by `period`.
+MappingResult cold_solve_at(model::Configuration config, Index graph,
+                            double period) {
+  config.mutable_task_graph(graph).set_required_period(period);
+  return compute_budgets_and_buffers(config);
+}
+
+TEST(Tradeoff, MultiJobSolvesAtFeasiblePeriodsAndMinPeriodIsExact) {
+  // Four 5-task jobs contending for 4 processors. The minimal period of
+  // job 3 is 3.382; a KKT regularisation too large for the small pivots
+  // of this system stalls the dual residual short of feas_tol on every
+  // period up to ~6, so the cold solves fail and the bisection, reading
+  // each failed probe as infeasible, stops at 5.10.
+  gen::GenParams params;
+  params.num_processors = 4;
+  params.seed = 2;
+  const model::Configuration config = gen::make_multi_job(4, 5, params);
+  const Index graph = 3;
+  const double period_hi = config.task_graph(graph).required_period();
+  ASSERT_NEAR(period_hi, 13.61, 0.01);
+
+  for (const double period : {3.40, 4.40, 5.00, 5.94}) {
+    const MappingResult r = cold_solve_at(config, graph, period);
+    EXPECT_EQ(r.status, solver::SolveStatus::kOptimal) << "period " << period;
+    EXPECT_TRUE(r.verified) << "period " << period;
+  }
+
+  const double rel_tol = 1e-4;
+  model::Configuration copy = config;
+  const auto min_period =
+      minimal_feasible_period(copy, graph, period_hi, rel_tol);
+  ASSERT_TRUE(min_period.has_value());
+  EXPECT_NEAR(min_period->period, 3.382, rel_tol * 3.382);
+  EXPECT_TRUE(min_period->mapping.verified);
+}
+
+TEST(Tradeoff, FeasiblePeriodsAreUpwardClosedAcrossGeneratorFamilies) {
+  // A PAS for a period is a PAS for every larger one, so once the joint
+  // bisection reports a minimal period P, cold solves just above P must
+  // all be optimal. Seeds 1-4 of each generator family: single-graph
+  // chains, rings, split/joins and random DAGs, and multi-job systems,
+  // whose every job is searched in turn.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    gen::GenParams p4;
+    p4.num_processors = 4;
+    p4.seed = seed;
+    gen::GenParams p6 = p4;
+    p6.num_processors = 6;
+    const auto s = static_cast<Index>(seed);
+    const std::vector<std::pair<std::string, model::Configuration>> configs = {
+        {"chain", gen::make_chain(8 + s % 24, p4)},
+        {"ring", gen::make_ring(4 + s % 8, p4)},
+        {"split_join", gen::make_split_join(2 + s % 3, 2 + s % 3, p4)},
+        {"multi_job", gen::make_multi_job(2 + s % 3, 3 + s % 4, p4)},
+        {"random_dag", gen::make_random_dag(16 + s % 32, 0.5, p6)}};
+    for (const auto& [family, config] : configs) {
+      for (Index graph = 0; graph < config.num_task_graphs(); ++graph) {
+        const std::string context = family + " seed " + std::to_string(seed) +
+                                    " graph " + std::to_string(graph);
+        model::Configuration copy = config;
+        const auto min_period = minimal_feasible_period(
+            copy, graph, config.task_graph(graph).required_period(), 1e-4);
+        ASSERT_TRUE(min_period.has_value()) << context;
+        for (const double eps : {1e-4, 1e-3, 1e-2, 5e-2, 1e-1}) {
+          const MappingResult r =
+              cold_solve_at(config, graph, min_period->period * (1.0 + eps));
+          EXPECT_EQ(r.status, solver::SolveStatus::kOptimal)
+              << context << " eps " << eps;
+          EXPECT_TRUE(r.verified) << context << " eps " << eps;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
